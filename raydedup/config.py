@@ -165,22 +165,6 @@ class DedupConfig:
     # footprint spills and costs ~25% wall (measured, BASELINE.md).
     fuse_edges_max_docs: int = 100_000
 
-    # In disk mode, the candidate-pair stage CAN fuse into the minhash-
-    # verify execution when the corpus has at most this many docs,
-    # skipping one executor/aggregator spin-up and a parquet round-trip
-    # (the fused path also skips the endpoint semi-filter, since the lazy
-    # candidates graph must execute exactly once).  DISABLED by default
-    # (0) after a 12M-turn 4/16-cpu A/B measured it a clear loss on this
-    # single-node proxy: the unfiltered attach shuffle carries every
-    # signature payload (~1 KB/doc) and the band + attach shuffles run
-    # concurrently — fused pairs_minhash 62.9 s vs ~41 s separate at 16
-    # cpus, 163.5 s vs ~95 s at 4 (2026-08-20 sample).  The mechanism
-    # stays for corpora whose duplicate fraction approaches 1 (semi-
-    # filter prunes nothing there) and for genuinely network-cheap
-    # setups.  Ignored when pair_checkpoint_parts > 1 (that path resumes
-    # FROM the candidates checkpoint).
-    fuse_candidates_max_docs: int = 0
-
     # The per-status cluster counts (metrics surface) are a k-row answer
     # over the clusters table; below this many rows the fold runs as one
     # driver-side single-column parquet scan of the clusters checkpoint
@@ -200,24 +184,6 @@ class DedupConfig:
     # save.  The mechanism stays for multi-node clusters where sibling
     # executions land on disjoint resources.
     parallel_edges_max_docs: int = 0
-
-    # Singleton-key Bloom prefilter for the two pair-emitting shuffles
-    # (LSH band buckets, suffix fingerprints): a narrow extra pass folds
-    # per-block (once, twice) bitmaps and only keys (probably) occurring
-    # in ≥2 rows enter the shuffle — singleton keys can never pair, so
-    # emitted pairs are bit-identical while shuffle volume drops with the
-    # corpus' uniqueness.  DISABLED by default (0) after a same-session
-    # 12M-turn A/B measured it a clear loss on this single-node proxy:
-    # 423 s with vs 182 s without (pairs_suffix 277 s vs 47 s) — the
-    # second upstream pass re-runs the winnow fingerprint compute, which
-    # dominates the suffix stage, while the object-store shuffle the
-    # filter trims is cheap on one node.  The mechanism (and its
-    # bit-identical-pairs test) stays for genuinely network-bound
-    # multi-node shuffles where ~90% singleton-row savings pay for an
-    # extra map scan.  Set e.g. 1 << 28 (32 MiB broadcast) to enable;
-    # it then engages above prefilter_min_docs.
-    prefilter_bloom_bits: int = 0
-    prefilter_min_docs: int = 300_000
 
     # optional CSV report sinks (S6/S7/S10 full surface parity: the
     # reference emits duplicates/unique CSV reports,

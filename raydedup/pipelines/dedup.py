@@ -6,8 +6,7 @@ boundary a resumable Parquet checkpoint:
     read_parquet(turns)
     → hash-repartition(conv_id) + vectorized reassembly [shuffle 1 → docs/]
     → map_batches(SignatureActor, actor pool)        [→ signatures/]
-    → LSH bands → groupby(band,hash,salt) pairs      [shuffle 2; fused into
-      the verify execution below fuse_candidates_max_docs]
+    → LSH bands → groupby(band,hash,salt) pairs      [shuffle 2 → candidates/]
       + SimHash block pairs + suffix long-repeat pairs
     → co-shuffle verification (exact Jaccard)        [→ pairs/]
     → iterative groupby-min label propagation        [shuffle 3×k → clusters/]
@@ -113,26 +112,12 @@ def run_pipeline(
     # checkpoint (no projection pushdown in read_parquet→select_columns).
     payload = "shingles" if cfg.verify_mode == "exact" else "minhash"
     # docs count is metadata on a materialized/checkpointed dataset, not an
-    # execution; it gates the singleton-key Bloom prefilter (see below)
+    # execution; it sizes the suffix winnow batches and gates edge fusion
     n_docs = docs.count()
-    prefilter = bool(cfg.prefilter_bloom_bits) and n_docs >= cfg.prefilter_min_docs
-    # disk-mode candidates fusion (size-gated): candidates are one cheap
-    # band shuffle over the signatures checkpoint, so below the gate they
-    # pipeline into the minhash-verify execution instead of paying their
-    # own executor/aggregator spin-up + parquet round-trip; the
-    # partitioned-pairs path resumes FROM the candidates checkpoint and
-    # therefore keeps it
-    cand_fused = (
-        cfg.checkpoint_mode == "disk"
-        and cfg.pair_checkpoint_parts == 1
-        and n_docs <= cfg.fuse_candidates_max_docs
-    )
-    cands = (store.fused_stage if cand_fused else store.stage)(
+    cands = store.stage(
         "candidates",
         lambda: candidate_pairs(
-            store.read("signatures", ["conv_id", "minhash", "n_shingles"]),
-            cfg,
-            prefilter=prefilter,
+            store.read("signatures", ["conv_id", "minhash", "n_shingles"]), cfg
         ),
     )
     # Each edge source is consumed exactly once (by the pair dedup below),
@@ -146,11 +131,10 @@ def run_pipeline(
         (
             "pairs_minhash",
             lambda: verified_pairs(
-                cands, store.read("signatures", ["conv_id", payload]), cfg,
-                skip_semi_filter=cand_fused,
+                cands, store.read("signatures", ["conv_id", payload]), cfg
             ),
         ),
-        ("pairs_suffix", lambda: suffix_pairs(docs, cfg, prefilter=prefilter, n_docs=n_docs)),
+        ("pairs_suffix", lambda: suffix_pairs(docs, cfg, n_docs=n_docs)),
         (
             "pairs_simhash",
             lambda: simhash_pairs(
@@ -203,8 +187,7 @@ def run_pipeline(
                 store.stage(
                     "suffix_fps",
                     lambda: suffix_fp_rows(
-                        docs, cfg, prefilter=prefilter, n_docs=n_docs,
-                        n_parts=cfg.pair_checkpoint_parts,
+                        docs, cfg, n_docs=n_docs, n_parts=cfg.pair_checkpoint_parts
                     ),
                     partition_cols=["kpart"],
                 )

@@ -251,15 +251,12 @@ def _hot_buckets(sigs_ds, cfg: DedupConfig) -> np.ndarray:
     return np.sort(col.to_numpy(zero_copy_only=False).astype(np.uint64, copy=False))
 
 
-def candidate_pairs(sigs_ds, cfg: DedupConfig, pair_mask_fn=None, prefilter: bool = False):
+def candidate_pairs(sigs_ds, cfg: DedupConfig, pair_mask_fn=None):
     """signatures → deduplicated candidate pairs (a, b, n_bands, capped).
 
     ``pair_mask_fn`` prunes pairs inside the bucket emitter (see
     ``make_bucket_emitter``) so unwanted pairs never enter the (a, b)
-    shuffle.  ``prefilter=True`` drops (probable-)singleton buckets before
-    the bucket shuffle via the twice-Bloom pass (bit-identical pairs; see
-    ``raydedup.functions.dupbloom``) — callers should enable it only when
-    ``sigs_ds`` is cheap to scan twice (checkpoint read / materialized).
+    shuffle.
 
     With ``cfg.salt_gate_min_bucket > 0`` the salt split applies only to
     band buckets the exact counting pass found over the threshold (skew
@@ -267,20 +264,11 @@ def candidate_pairs(sigs_ds, cfg: DedupConfig, pair_mask_fn=None, prefilter: boo
     key-column shuffle over the band rows)."""
     gated = cfg.salt_gate_min_bucket > 0
     hot = _hot_buckets(sigs_ds, cfg) if gated else None
-
-    def make_rows():
-        return sigs_ds.map_batches(
-            make_band_rows(cfg, hot_buckets=hot, gated=gated),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-    if prefilter and cfg.prefilter_bloom_bits:
-        from raydedup.functions.dupbloom import prefilter_dup_keys
-
-        bands = prefilter_dup_keys(make_rows, "bucket", cfg.prefilter_bloom_bits)
-    else:
-        bands = make_rows()
+    bands = sigs_ds.map_batches(
+        make_band_rows(cfg, hot_buckets=hot, gated=gated),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
     raw = keyed_blocks(bands, ["bucket"], cfg.num_partitions).map_batches(
         make_bucket_emitter(cfg, pair_mask_fn),
         batch_size=None,

@@ -85,47 +85,20 @@ def _winnow_batch_size(cfg: DedupConfig, n_docs: int | None) -> int:
     return max(256, min(2048, n_docs // (4 * cpus) or 256))
 
 
-def suffix_pairs(docs_ds, cfg: DedupConfig, prefilter: bool = False,
-                 n_docs: int | None = None):
+def suffix_pairs(docs_ds, cfg: DedupConfig, n_docs: int | None = None):
     """docs → exact long-repeat edges (a, b, est_sim=1.0, source='suffix').
 
     Edges may repeat across shared fingerprints (deduped once in the
     combined pairs stage — one shuffle for all edge sources instead of one
     per source); emission already dedups within each fingerprint bucket.
-
-    ``prefilter=True`` drops (probable-)singleton fingerprints before the
-    fp shuffle via the twice-Bloom pass (bit-identical edges; see
-    ``raydedup.functions.dupbloom``).  Fingerprints are recomputed for the
-    second pass rather than materialized — the fp compute is ~25% of the
-    stage and the row stream never has to fit in the object store.
     """
-    batch_size = _winnow_batch_size(cfg, n_docs)
-
-    def make_rows():
-        # bounded batch: the segmented kernel's temporaries are ~30× the
-        # batch's text bytes (prefix-product/sum arrays + window vectors),
-        # so block-sized batches (tens of MB of text) would allocate GBs
-        # per task; the adaptive size keeps the working set ~100 MB at the
-        # 2048 ceiling and fans small corpora out across the CPUs
-        return docs_ds.map_batches(
-            make_fp_rows(cfg),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-
-    if prefilter and cfg.prefilter_bloom_bits:
-        from raydedup.functions.dupbloom import prefilter_dup_keys
-
-        fps = prefilter_dup_keys(make_rows, "fp", cfg.prefilter_bloom_bits)
-    else:
-        fps = make_rows()
+    fps = suffix_fp_rows(docs_ds, cfg, n_docs=n_docs)
     grouped = keyed_blocks(fps, ["fp"], cfg.num_partitions)
     return suffix_edges_from_fps(grouped, cfg, regroup=False)
 
 
-def suffix_fp_rows(docs_ds, cfg: DedupConfig, prefilter: bool = False,
-                   n_docs: int | None = None, n_parts: int = 1):
+def suffix_fp_rows(docs_ds, cfg: DedupConfig, n_docs: int | None = None,
+                   n_parts: int = 1):
     """docs → raw (fp, conv_id) fingerprint rows, optionally tagged with a
     ``kpart = fp % n_parts`` column for a hive-partitioned checkpoint
     (``write_parquet(partition_cols=["kpart"])``).  Because ``kpart`` is a
@@ -137,22 +110,17 @@ def suffix_fp_rows(docs_ds, cfg: DedupConfig, prefilter: bool = False,
     expensive fingerprint compute is checkpointed once and the fp shuffle
     itself becomes per-partition resumable (north rule: "resumes mid-shuffle
     without recomputing signatures")."""
-    batch_size = _winnow_batch_size(cfg, n_docs)
-
-    def make_rows():
-        return docs_ds.map_batches(
-            make_fp_rows(cfg),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-
-    if prefilter and cfg.prefilter_bloom_bits:
-        from raydedup.functions.dupbloom import prefilter_dup_keys
-
-        fps = prefilter_dup_keys(make_rows, "fp", cfg.prefilter_bloom_bits)
-    else:
-        fps = make_rows()
+    # bounded batch: the segmented kernel's temporaries are ~30× the
+    # batch's text bytes (prefix-product/sum arrays + window vectors),
+    # so block-sized batches (tens of MB of text) would allocate GBs
+    # per task; the adaptive size keeps the working set ~100 MB at the
+    # 2048 ceiling and fans small corpora out across the CPUs
+    fps = docs_ds.map_batches(
+        make_fp_rows(cfg),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=_winnow_batch_size(cfg, n_docs),
+    )
     if n_parts > 1:
         parts = np.uint64(n_parts)
 

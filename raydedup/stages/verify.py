@@ -289,21 +289,18 @@ def make_verify_block(cfg: DedupConfig):
     return verify
 
 
-def verified_pairs(pairs_ds, sigs_ds, cfg: DedupConfig,
-                   skip_semi_filter: bool = False):
+def verified_pairs(pairs_ds, sigs_ds, cfg: DedupConfig):
     """candidate pairs → PAIRS rows passing the similarity threshold.
 
     The endpoint semi-filter (a driver-merged hash set of pair endpoints
     that prunes non-candidate signature rows before the attach shuffle) is
     size-guarded: above ``cfg.semi_filter_max_endpoints`` endpoints it is
     skipped entirely — the shuffle then carries all signature rows, which
-    is correct, just bulkier.  ``pairs_ds`` is normally a checkpoint read,
-    so the count is parquet-footer metadata, not an execution; when the
-    candidates stage is FUSED (a lazy graph, ``fuse_candidates_max_docs``)
-    the caller passes ``skip_semi_filter=True`` so neither the count nor
-    the endpoint collect triggers an extra execution of that graph —
-    the fused pipeline consumes it exactly once, in the union below."""
-    if skip_semi_filter or 2 * pairs_ds.count() > cfg.semi_filter_max_endpoints:
+    is correct, just bulkier.  ``pairs_ds`` should be cheap to scan more
+    than once (a checkpoint read or a materialized Dataset): the count is
+    then parquet-footer or block metadata, and the endpoint collect reads
+    the stored rows instead of re-running the candidates graph."""
+    if 2 * pairs_ds.count() > cfg.semi_filter_max_endpoints:
         eh = None
     else:
         eh = _endpoint_hash_set(pairs_ds)

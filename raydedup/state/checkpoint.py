@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from raydedup.ray_utils import read_parquet_clean
 
+import hashlib
 import json
 import os
 import shutil
@@ -74,6 +75,16 @@ class CheckpointStore:
             return m
         return None
 
+    def _advance(self, name: str) -> None:
+        """Extend the lineage hash chain past stage ``name``.  Every entry
+        point calls this exactly once per stage, whether the stage was
+        computed, resumed or fused, so a checkpoint's manifest lineage is
+        its position in the chain and never depends on how its upstream
+        stages ran."""
+        self.lineage = hashlib.sha256(
+            f"{self.lineage}|{name}|{self.config_hash}".encode()
+        ).hexdigest()[:16]
+
     def _persist(self, name: str, ds, lineage: str,
                  partition_cols: list | None = None) -> int:
         """Write ``ds`` to the stage checkpoint atomically (tmp → rename)
@@ -112,8 +123,6 @@ class CheckpointStore:
         Advances the lineage chain either way, so downstream validity
         depends on every upstream stage's identity.
         """
-        import hashlib
-
         import ray.data as rd
 
         target = os.path.join(self.out_dir, name)
@@ -126,9 +135,7 @@ class CheckpointStore:
                 {"stage": name, "action": "computed", "rows": rows,
                  "sec": round(time.time() - t0, 2)}
             )
-            self.lineage = hashlib.sha256(
-                f"{self.lineage}|{name}|{self.config_hash}".encode()
-            ).hexdigest()[:16]
+            self._advance(name)
             return ds
         m = self._valid(name)
         if m is not None:
@@ -149,35 +156,23 @@ class CheckpointStore:
                 }
             )
             ds = read_parquet_clean(target)
-        self.lineage = hashlib.sha256(
-            f"{self.lineage}|{name}|{self.config_hash}".encode()
-        ).hexdigest()[:16]
+        self._advance(name)
         return ds
 
 
     def lazy_stage(self, name: str, compute_fn):
-        """Like ``stage`` but, in memory mode, returns the Dataset
-        UNMATERIALIZED — for stages consumed exactly once downstream,
-        where a stage-boundary materialization is pure overhead (the
-        consumer's execution pipelines this stage's operators instead of
-        paying a separate executor + shuffle-aggregator spin-up).  Disk
-        mode is unchanged: the stage checkpoints and resumes normally.
-        Never use for a stage with multiple consumers or one whose
-        consumer calls ``count``/``take_all`` on it more than once.
-        In memory mode the stage is NOT registered in the in-memory store,
-        so ``store.read(name)`` raises KeyError — consumers must use the
-        returned handle.  Fused events carry no row count or timing
-        (``rows=-1``); metrics consumers skip them."""
-        import hashlib
-
+        """``fused_stage`` in memory mode, ``stage`` in disk mode: for
+        stages consumed exactly once downstream, where a memory-mode
+        stage-boundary materialization is pure overhead but a disk
+        checkpoint still buys finer-grained resume.  Never use for a stage
+        with multiple consumers or one whose consumer calls
+        ``count``/``take_all`` on it more than once.  In memory mode the
+        stage is NOT registered in the in-memory store, so
+        ``store.read(name)`` raises KeyError — consumers must use the
+        returned handle."""
         if self.mode != "memory":
             return self.stage(name, compute_fn)
-        ds = compute_fn()
-        self.events.append({"stage": name, "action": "fused", "rows": -1})
-        self.lineage = hashlib.sha256(
-            f"{self.lineage}|{name}|{self.config_hash}".encode()
-        ).hexdigest()[:16]
-        return ds
+        return self.fused_stage(name, compute_fn)
 
     def fused_stage(self, name: str, compute_fn):
         """Fuse this stage into its consumer's execution in EVERY mode:
@@ -189,14 +184,12 @@ class CheckpointStore:
         boundary costs more than it saves: a crash in the consumer stage
         recomputes this stage from its own upstream checkpoint.  Lineage
         advances exactly as ``stage`` would, so the fused/persisted
-        choice never invalidates downstream checkpoints."""
-        import hashlib
-
+        choice never invalidates downstream checkpoints.  Fused events
+        carry no row count or timing (``rows=-1``); metrics consumers
+        skip them."""
         ds = compute_fn()
         self.events.append({"stage": name, "action": "fused", "rows": -1})
-        self.lineage = hashlib.sha256(
-            f"{self.lineage}|{name}|{self.config_hash}".encode()
-        ).hexdigest()[:16]
+        self._advance(name)
         return ds
 
     def parallel_stages(self, specs: list) -> dict:
@@ -213,7 +206,6 @@ class CheckpointStore:
         path resolution); only the executions (``write_parquet``) run in
         threads.  Memory mode falls back to sequential ``stage`` calls.
         """
-        import hashlib
         from concurrent.futures import ThreadPoolExecutor
 
         import ray.data as rd
@@ -224,9 +216,7 @@ class CheckpointStore:
         entry_lineage = {}
         for name, _fn in specs:
             entry_lineage[name] = self.lineage
-            self.lineage = hashlib.sha256(
-                f"{self.lineage}|{name}|{self.config_hash}".encode()
-            ).hexdigest()[:16]
+            self._advance(name)
         out, jobs = {}, []
         for name, fn in specs:
             m = self._valid(name, entry_lineage[name])
@@ -285,7 +275,6 @@ class CheckpointStore:
         a list of input parquet paths.
         """
         import glob
-        import hashlib
 
         import ray.data as rd
 
@@ -389,9 +378,7 @@ class CheckpointStore:
                 }
             )
             ds = read_parquet_clean(target)
-        self.lineage = hashlib.sha256(
-            f"{self.lineage}|{name}|{self.config_hash}".encode()
-        ).hexdigest()[:16]
+        self._advance(name)
         return ds
 
 
@@ -441,8 +428,6 @@ def _ensure_nonempty_parquet(path: str, ds) -> None:
 
 def _files_fingerprint(files: list) -> str:
     """Identity of a specific input-file group: names + sizes + ns-mtimes."""
-    import hashlib
-
     entries = []
     for fp in files:
         st = os.stat(fp)
@@ -468,8 +453,6 @@ def input_fingerprint(path: str) -> str:
     and files) so identical inputs never fingerprint differently across
     filesystems, and ``st_mtime_ns`` granularity means an in-place rewrite
     within the same second cannot falsely validate a stale checkpoint."""
-    import hashlib
-
     entries = []
     if os.path.isdir(path):
         for root, dirs, files in os.walk(path):

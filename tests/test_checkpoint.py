@@ -136,6 +136,55 @@ def test_partitioned_stage_resumes_only_missing_parts(tmp_path, ray_session):
     assert calls["n"] == 10
 
 
+def test_lazy_stage_fuses_in_memory_and_checkpoints_on_disk(tmp_path, ray_session):
+    """Memory mode: lazy_stage is fused_stage — an unmaterialized Dataset,
+    one 'fused' event, nothing registered for read().  Disk mode: it is
+    stage — a checkpoint that a second store resumes.  Every entry point
+    advances the lineage identically in both modes."""
+    import pytest
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
+
+    calls = {"n": 0}
+
+    def compute():
+        calls["n"] += 1
+        return rd.range(6).map_batches(lambda b: b, batch_format="pyarrow")
+
+    def store(mode, sub):
+        return CheckpointStore(str(tmp_path / sub), "cfg", "fp", mode=mode)
+
+    lazy = store("memory", "m1")
+    ds = lazy.lazy_stage("s", compute)
+    assert calls["n"] == 1
+    assert not isinstance(ds, MaterializedDataset)
+    assert lazy.events == [{"stage": "s", "action": "fused", "rows": -1}]
+    with pytest.raises(KeyError):
+        lazy.read("s")
+    assert ds.count() == 6
+
+    fused, staged = store("memory", "m2"), store("memory", "m3")
+    fused.fused_stage("s", compute)
+    staged.stage("s", compute)
+    assert fused.events[0]["action"] == "fused"
+    assert staged.events[0]["action"] == "computed"
+    assert lazy.lineage == fused.lineage == staged.lineage != "fp"
+
+    calls["n"] = 0
+    disk = store("disk", "d")
+    assert disk.lazy_stage("s", compute).count() == 6
+    assert calls["n"] == 1
+    assert [e["action"] for e in disk.events] == ["computed"]
+    assert os.path.exists(os.path.join(disk.path("s"), "_MANIFEST.json"))
+    assert disk.lineage == lazy.lineage
+
+    again = store("disk", "d")
+    assert again.lazy_stage("s", compute).count() == 6
+    assert calls["n"] == 1
+    assert [e["action"] for e in again.events] == ["resumed"]
+    assert again.lineage == lazy.lineage
+
+
 def test_parallel_stages_interchangeable_with_sequential(tmp_path, ray_session):
     """parallel_stages writes the same lineage chain as sequential stage()
     calls: checkpoints from one resume under the other, in both

@@ -144,53 +144,3 @@ def test_span_fingerprints_flat_bit_identical_to_scalar():
     data2, off2 = utf8_flat_bytes(sl)
     d2, f2 = span_fingerprints_flat(data2, off2, w, fl, mod)
     np.testing.assert_array_equal(f2[d2 == 0], span_fingerprints(docs[3], w, fl, mod))
-
-
-def test_dupbloom_no_false_negatives_and_fold_associative():
-    from raydedup.functions.dupbloom import (
-        fold_partials,
-        fold_partials_packed,
-        probe_packed,
-        twice_partial,
-    )
-
-    m = 1 << 14
-    rng = np.random.RandomState(7)
-    # three blocks of key occurrences; some keys repeat within a block,
-    # some only across blocks, most are global singletons
-    pool = rng.randint(0, 2**63, size=3000).astype(np.uint64)
-    within = pool[:50]
-    across = pool[50:120]
-    blocks = [
-        np.concatenate([within, within, pool[200:1100], across[:35]]),
-        np.concatenate([pool[1100:2000], across[:35], across[35:]]),
-        np.concatenate([pool[2000:2900], across[35:]]),
-    ]
-    parts = [twice_partial(b, m) for b in blocks]
-    packed = fold_partials(parts, m)
-
-    all_keys = np.concatenate(blocks)
-    uniq, counts = np.unique(all_keys, return_counts=True)
-    hit = probe_packed(uniq, packed, m)
-    dup = counts >= 2
-    # every genuinely repeated key MUST pass (no false negatives)
-    assert hit[dup].all()
-    # the filter actually filters: most singletons are dropped
-    assert hit[~dup].mean() < 0.2
-
-    # fold is order-free (associative + commutative)
-    packed2 = fold_partials([parts[2], parts[0], parts[1]], m)
-    np.testing.assert_array_equal(packed, packed2)
-    # tree fold via packed intermediates is bit-identical to the flat fold:
-    # the (once, twice) carry makes cross-subtree once&once pairs visible
-    sub = fold_partials_packed(parts[:2], m)
-    np.testing.assert_array_equal(fold_partials([sub, parts[2]], m), packed)
-    # hierarchical build (pre-merging raw streams into one partial) keeps
-    # the no-false-negative guarantee and can only REDUCE false positives
-    # (within-partial counts are exact; cross-partial once&once bit overlap
-    # can fire on two different singleton keys sharing a position)
-    pre = twice_partial(np.concatenate(blocks[:2]), m)
-    packed3 = fold_partials([pre, parts[2]], m)
-    hit3 = probe_packed(uniq, packed3, m)
-    assert hit3[dup].all()
-    assert not (hit3 & ~hit).any()  # membership subset of the flat fold

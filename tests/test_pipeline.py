@@ -198,7 +198,6 @@ def test_capped_bucket_recall(ray_session, tmp_path):
 
     cfg = DedupConfig(
         num_partitions=4, bucket_pair_cap=4, salt_buckets=2, checkpoint_parts=2,
-        fuse_candidates_max_docs=0,  # keep the candidates checkpoint inspectable
     )
     res = run_pipeline(str(src / "transcripts.parquet"), str(tmp_path / "out"), cfg)
     cands = res["pairs"]  # post-verify pairs carry no capped flag; check candidates
@@ -334,26 +333,3 @@ def test_csv_report_sinks(ray_session, fixture_dir, tmp_path):
         pd.testing.assert_frame_equal(
             g[sorted(got.columns)], w[sorted(want.columns)], check_dtype=False
         )
-
-
-def test_fused_candidates_matches_default(e2e, tmp_path):
-    """Opt-in disk-mode candidates fusion (fuse_candidates_max_docs) is
-    bit-identical to the checkpointed default: same clusters, no
-    candidates checkpoint directory, candidates event 'fused'."""
-    import os
-
-    from raydedup.pipelines.dedup import run_pipeline
-
-    cfg = DedupConfig(num_partitions=4, sig_concurrency=(1, 2),
-                      fuse_candidates_max_docs=10_000_000)
-    res = run_pipeline(
-        f"{e2e['fixture_dir']}/transcripts.parquet", str(tmp_path / "fused"), cfg
-    )
-    actions = {ev["stage"]: ev["action"] for ev in res["events"]}
-    assert actions["candidates"] == "fused"
-    assert not os.path.exists(str(tmp_path / "fused" / "candidates"))
-    got = (res["clusters"].to_pandas()[["conv_id", "cluster_id", "status"]]
-           .sort_values("conv_id").reset_index(drop=True))
-    want = (e2e["clusters"][["conv_id", "cluster_id", "status"]]
-            .sort_values("conv_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(got, want)

@@ -162,44 +162,6 @@ def test_cc_driver_endgame_matches_distributed(ray_session):
         pd.testing.assert_frame_equal(res[0], res[10**6])
 
 
-def test_prefilter_bloom_pairs_identical(ray_session):
-    """The singleton-key Bloom prefilter must not change emitted pairs —
-    only shuffle volume.  Run candidate_pairs and suffix_pairs with and
-    without the prefilter on the same synthetic corpus and compare."""
-    import dataclasses
-
-    import ray.data as rd
-
-    from raydedup.config import DedupConfig
-    from raydedup.ray_utils import ensure_hash_shuffle
-    from raydedup.sources.synth import materialize
-    from raydedup.stages.lsh import candidate_pairs
-    from raydedup.stages.reassemble import reassemble
-    from raydedup.stages.signatures import compute_signatures
-    from raydedup.stages.suffix import suffix_pairs
-
-    ensure_hash_shuffle()
-    path = materialize(seed=42, n_convs=400)
-    cfg = dataclasses.replace(DedupConfig(), prefilter_bloom_bits=1 << 16)
-    docs = reassemble(
-        rd.read_parquet(f"{path}/transcripts.parquet", columns=["conv_id", "turn_idx", "text"]),
-        cfg.num_partitions,
-    ).materialize()
-    sigs = compute_signatures(docs, cfg).materialize()
-
-    def pair_set(ds, cols=("a", "b")):
-        df = ds.to_pandas()
-        return set(zip(df[cols[0]], df[cols[1]]))
-
-    base_c = pair_set(candidate_pairs(sigs, cfg, prefilter=False))
-    pref_c = pair_set(candidate_pairs(sigs, cfg, prefilter=True))
-    assert base_c == pref_c and len(base_c) > 0
-
-    base_s = pair_set(suffix_pairs(docs, cfg, prefilter=False))
-    pref_s = pair_set(suffix_pairs(docs, cfg, prefilter=True))
-    assert base_s == pref_s and len(base_s) > 0
-
-
 def test_size_gated_salting_recall(ray_session):
     """Constant salting can lose a true near-dup pair at a low-band
     config: two docs that differ at minhash[0] (→ different salts) but
