@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class DedupConfig:
     # partition-invariant, so determinism across partitionings holds.
     salt_gate_min_bucket: int = 0
     bucket_pair_cap: int = 50       # clique emission below this group size; chain above
-    max_bucket_emit: int = 2_000    # hard cap on edges emitted per (band,hash,salt) bucket
 
     # --- verification thresholds (analog of duplicate_face.py:67 tolerance
     # 0.32 / face_recognition_custom.py:18 cosine 0.65) ---
@@ -214,8 +213,6 @@ class DedupConfig:
 
     # --- quality gates (analog of the blur gate face_recognition_custom.py:73-77) ---
     min_doc_chars: int = 1          # normalized docs shorter than this -> status 'no_content'
-
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.bands * self.rows != self.num_perm:

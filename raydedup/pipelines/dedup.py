@@ -4,14 +4,23 @@ Lifecycle (SURVEY.md §3.4) — each stage a Ray Data transform, each
 boundary a resumable Parquet checkpoint:
 
     read_parquet(turns)
-    → hash-repartition(conv_id) + vectorized reassembly [shuffle 1 → docs/]
-    → map_batches(SignatureActor, actor pool)        [→ signatures/]
-    → LSH bands → groupby(band,hash,salt) pairs      [shuffle 2 → candidates/]
-      + SimHash block pairs + suffix long-repeat pairs
-    → co-shuffle verification (exact Jaccard)        [→ pairs/]
-    → iterative groupby-min label propagation        [shuffle 3×k → clusters/]
-      + one tagged-union key shuffle joins labels back onto docs
+    → hash-repartition(conv_id) + vectorized reassembly  [shuffle → docs/]
+    → map_batches(SignatureActor, actor pool)          [→ signatures/]
+    → LSH bands → groupby(band,hash,salt) pairs        [shuffle → candidates/]
+    → three edge sources, one stage each:
+        co-shuffle verification (exact Jaccard)        [→ pairs_minhash/]
+        suffix long-repeat pairs (fingerprint shuffle) [→ pairs_suffix/]
+        SimHash pigeonhole-block pairs (block shuffle) [→ pairs_simhash/]
+    → (a, b) dedup of the edge union                   [shuffle → pairs/]
+    → connected components: per-block contraction + one node shuffle,
+      then a driver-side union-find endgame below cc_driver_finish_edges
+      (above it, groupby-min propagation rounds); one tagged-union key
+      shuffle joins labels back onto docs              [→ clusters/]
     → clusters + metrics Parquet
+
+Memory mode keeps stage outputs in the object store instead, and on small
+corpora fuses the three edge stages into the pairs execution.  Disk mode
+can split the signature and edge stages into resumable parts.
 
 The reference's equivalents are cited in each stage module; nothing here
 holds driver-resident dedup state.
@@ -31,8 +40,8 @@ from raydedup.stages.components import connected_components
 from raydedup.stages.lsh import candidate_pairs
 from raydedup.stages.reassemble import reassemble
 from raydedup.stages.signatures import compute_signatures
-from raydedup.stages.simhash_pairs import simhash_pairs
-from raydedup.stages.suffix import suffix_pairs
+from raydedup.stages.simhash_pairs import simhash_block_rows, simhash_edges_from_blocks
+from raydedup.stages.suffix import suffix_edges_from_fps, suffix_fp_rows
 from raydedup.stages.verify import verified_pairs
 from raydedup.ray_utils import ensure_hash_shuffle
 from raydedup.state.checkpoint import CheckpointStore, input_fingerprint
@@ -88,23 +97,47 @@ def run_pipeline(
         )
         metrics.add("signatures", "masked_shingle_hashes", len(shingle_mask))
 
+    def whole(upstream, build, rows=None):
+        """A stage's one-execution ``compute_fn``: ``build`` over all its
+        upstream rows."""
+        return lambda: build(rows(1) if rows else store.read(upstream))
+
+    def over_parts(name, upstream, build, n_parts, rows=None, columns=None,
+                   run=store.stage):
+        """Stage ``name`` = ``build(upstream rows)``: one execution via
+        ``run``, or — disk mode, ``n_parts > 1`` — per-partition lineage:
+        the upstream checkpoint's files split into parts that compute and
+        persist independently.  ``rows=None``: the upstream is the
+        completed checkpoint ``upstream``, whose rows are mutually
+        independent.  Else ``rows(k)`` builds the upstream rows, tagged
+        for ``k > 1`` with ``kpart``, a pure function of their shuffle key:
+        they are checkpointed once as ``upstream``, hive-partitioned by
+        ``kpart``, and each part is one key-closed ``kpart=i/`` dir, so the
+        per-part shuffle is exact and a crash mid-shuffle never redoes the
+        row compute."""
+        if n_parts <= 1 or cfg.checkpoint_mode != "disk":
+            return run(name, whole(upstream, build, rows))
+        if rows:
+            store.stage(upstream, lambda: rows(n_parts), partition_cols=["kpart"])
+        return store.partitioned_map_stage(
+            name,
+            upstream,
+            lambda files: build(
+                read_parquet_clean(files, columns=columns) if files else rd.from_items([])
+            ),
+            n_parts,
+            group_by_dir=rows is not None,
+        )
+
     # the signature stage (the expensive narrow stage) checkpoints with
     # per-partition lineage: a crash mid-stage resumes from the completed
     # part-i/ dirs and recomputes only the missing ones (north rule)
-    if cfg.checkpoint_parts > 1 and cfg.checkpoint_mode == "disk":
-        sigs = store.partitioned_map_stage(
-            "signatures",
-            "docs",
-            lambda files: compute_signatures(
-                read_parquet_clean(files), cfg, shingle_mask=shingle_mask
-            ),
-            cfg.checkpoint_parts,
-        )
-    else:
-        sigs = store.stage(
-            "signatures",
-            lambda: compute_signatures(docs, cfg, shingle_mask=shingle_mask),
-        )
+    sigs = over_parts(
+        "signatures",
+        "docs",
+        lambda d: compute_signatures(d, cfg, shingle_mask=shingle_mask),
+        cfg.checkpoint_parts,
+    )
 
     # Each edge source is its own checkpointed sub-DAG (bounded number of
     # concurrent shuffle ops per execution; finer-grained resume), and each
@@ -114,130 +147,50 @@ def run_pipeline(
     # docs count is metadata on a materialized/checkpointed dataset, not an
     # execution; it sizes the suffix winnow batches and gates edge fusion
     n_docs = docs.count()
-    cands = store.stage(
+    store.stage(
         "candidates",
         lambda: candidate_pairs(
             store.read("signatures", ["conv_id", "minhash", "n_shingles"]), cfg
         ),
     )
-    # Each edge source is consumed exactly once (by the pair dedup below),
-    # so on small memory-mode runs they stay lazy and fuse into the pairs
-    # execution — three fewer executor/aggregator spin-ups.  The fusion is
-    # size-gated (cfg.fuse_edges_max_docs): fused edge shuffles run
-    # concurrently, and at 12M-turn scale the ~3× peak object-store
-    # footprint spills and costs more than the spin-ups save.  Disk mode
-    # checkpoints each for finer-grained resume, as before.
-    edge_specs = [
-        (
-            "pairs_minhash",
-            lambda: verified_pairs(
-                cands, store.read("signatures", ["conv_id", payload]), cfg
-            ),
-        ),
-        ("pairs_suffix", lambda: suffix_pairs(docs, cfg, n_docs=n_docs)),
-        (
-            "pairs_simhash",
-            lambda: simhash_pairs(
-                store.read("signatures", ["conv_id", "simhash", "n_shingles"]), cfg
-            ),
-        ),
+    edge_sources = [  # (stage, upstream, edge builder, kpart row builder, row columns)
+        ("pairs_minhash", "candidates",
+         lambda c: verified_pairs(c, store.read("signatures", ["conv_id", payload]), cfg),
+         None, None),
+        ("pairs_suffix", "suffix_fps", lambda r: suffix_edges_from_fps(r, cfg),
+         lambda k: suffix_fp_rows(docs, cfg, n_docs=n_docs, n_parts=k),
+         ["fp", "conv_id"]),
+        ("pairs_simhash", "simhash_blocks", lambda r: simhash_edges_from_blocks(r, cfg),
+         lambda k: simhash_block_rows(
+             store.read("signatures", ["conv_id", "simhash", "n_shingles"]), cfg, n_parts=k
+         ),
+         ["block_idx", "block_val", "conv_id", "simhash"]),
     ]
-    if cfg.checkpoint_mode == "memory" and n_docs <= cfg.fuse_edges_max_docs:
-        edges = {name: store.lazy_stage(name, fn) for name, fn in edge_specs}
-    elif cfg.checkpoint_mode == "disk" and n_docs <= cfg.parallel_edges_max_docs:
-        # independent edge sources execute concurrently (driver threads),
-        # overlapping their per-execution fixed costs; size-gated for the
-        # same object-store-pressure reason as the memory-mode fusion
-        edges = store.parallel_stages(edge_specs)
+    # The edge policy, picked once (first match wins):
+    # - memory mode, n_docs <= fuse_edges_max_docs: each edge source is
+    #   consumed exactly once (by the pair dedup below), so it stays lazy
+    #   and fuses into the pairs execution — three fewer
+    #   executor/aggregator spin-ups.  Size-gated: fused edge shuffles run
+    #   concurrently, and at 12M-turn scale the ~3× peak object-store
+    #   footprint spills and costs more than the spin-ups save;
+    # - disk mode, n_docs <= parallel_edges_max_docs (0 = disabled): the
+    #   sources execute concurrently (driver threads), overlapping their
+    #   per-execution fixed costs;
+    # - otherwise one stage per source, split into resumable parts in
+    #   disk mode when configured.
+    fuse = cfg.checkpoint_mode == "memory" and n_docs <= cfg.fuse_edges_max_docs
+    cap = cfg.parallel_edges_max_docs
+    if cfg.checkpoint_mode == "disk" and 0 < cap and n_docs <= cap:
+        edges = store.parallel_stages([
+            (name, whole(up, build, rows)) for name, up, build, rows, _ in edge_sources
+        ])
     else:
-        edges = {}
-        for name, fn in edge_specs:
-            if (
-                name == "pairs_minhash"
-                and cfg.checkpoint_mode == "disk"
-                and cfg.pair_checkpoint_parts > 1
-            ):
-                # per-partition lineage over the candidates checkpoint:
-                # candidate-pair rows are independent, so verifying any
-                # file subset against the full signature table is sound —
-                # a crash mid-stage resumes from the completed part dirs
-                edges[name] = store.partitioned_map_stage(
-                    name,
-                    "candidates",
-                    lambda files: verified_pairs(
-                        read_parquet_clean(files),
-                        store.read("signatures", ["conv_id", payload]),
-                        cfg,
-                    ),
-                    cfg.pair_checkpoint_parts,
-                )
-            elif (
-                name == "pairs_suffix"
-                and cfg.checkpoint_mode == "disk"
-                and cfg.pair_checkpoint_parts > 1
-            ):
-                # resumable fp shuffle: winnow fingerprints are computed
-                # once into a kpart-hive-partitioned checkpoint (kpart is a
-                # pure function of fp, so buckets never span parts), then
-                # each part shuffles + emits independently — a crash
-                # mid-shuffle loses only unfinished parts, never the
-                # fingerprint compute (north rule per-partition lineage)
-                from raydedup.stages.suffix import suffix_edges_from_fps, suffix_fp_rows
+        edges = {
+            name: over_parts(name, up, build, cfg.pair_checkpoint_parts, rows, cols,
+                             run=store.lazy_stage if fuse else store.stage)
+            for name, up, build, rows, cols in edge_sources
+        }
 
-                store.stage(
-                    "suffix_fps",
-                    lambda: suffix_fp_rows(
-                        docs, cfg, n_docs=n_docs, n_parts=cfg.pair_checkpoint_parts
-                    ),
-                    partition_cols=["kpart"],
-                )
-                edges[name] = store.partitioned_map_stage(
-                    name,
-                    "suffix_fps",
-                    lambda files: suffix_edges_from_fps(
-                        read_parquet_clean(files, columns=["fp", "conv_id"]), cfg
-                    ),
-                    cfg.pair_checkpoint_parts,
-                    group_by_dir=True,
-                )
-            elif (
-                name == "pairs_simhash"
-                and cfg.checkpoint_mode == "disk"
-                and cfg.pair_checkpoint_parts > 1
-            ):
-                # same scheme over the pigeonhole block rows
-                from raydedup.stages.simhash_pairs import (
-                    simhash_block_rows,
-                    simhash_edges_from_blocks,
-                )
-
-                store.stage(
-                    "simhash_blocks",
-                    lambda: simhash_block_rows(
-                        store.read("signatures", ["conv_id", "simhash", "n_shingles"]),
-                        cfg,
-                        n_parts=cfg.pair_checkpoint_parts,
-                    ),
-                    partition_cols=["kpart"],
-                )
-                edges[name] = store.partitioned_map_stage(
-                    name,
-                    "simhash_blocks",
-                    lambda files: simhash_edges_from_blocks(
-                        read_parquet_clean(
-                            files,
-                            columns=["block_idx", "block_val", "conv_id", "simhash"],
-                        ),
-                        cfg,
-                    ),
-                    cfg.pair_checkpoint_parts,
-                    group_by_dir=True,
-                )
-            else:
-                edges[name] = store.stage(name, fn)
-    mh_edges = edges["pairs_minhash"]
-    sf_edges = edges["pairs_suffix"]
-    sh_edges = edges["pairs_simhash"]
     def dedup_pairs():
         """Single (a, b) dedup for all edge sources (suffix/simhash emit
         duplicates across their buckets by design) — one shuffle total."""
@@ -260,11 +213,11 @@ def run_pipeline(
             )
             return df.drop_duplicates(["a", "b"], keep="first").drop(columns="_p")
 
-        combined = (
-            mh_edges.select_columns(["a", "b", "est_sim", "source"])
-            .union(sf_edges.select_columns(["a", "b", "est_sim", "source"]))
-            .union(sh_edges.select_columns(["a", "b", "est_sim", "source"]))
+        mh, sf, sh = (
+            edges[name].select_columns(["a", "b", "est_sim", "source"])
+            for name, *_ in edge_sources
         )
+        combined = mh.union(sf).union(sh)
         return keyed_blocks(combined, ["a", "b"], cfg.num_partitions).map_batches(
             block, batch_size=None, batch_format="pandas"
         )
@@ -384,8 +337,8 @@ def run_pipeline(
         metrics.add(ev["stage"], f"rows_{ev['action']}", ev["rows"])
         if "sec" in ev:
             metrics.add(ev["stage"], "wall_ms", int(ev["sec"] * 1000))
-    status_counts: dict = {}
-    if cfg.checkpoint_mode == "disk" and n_docs <= cfg.status_fold_driver_max_rows:
+    status_counts: dict = {}  # stays empty for an empty corpus
+    if cfg.checkpoint_mode == "disk" and 0 < n_docs <= cfg.status_fold_driver_max_rows:
         # size-gated driver fold: one single-column parquet scan of the
         # clusters checkpoint beats a whole distributed execution for a
         # k-row answer (see cfg.status_fold_driver_max_rows)
@@ -396,7 +349,7 @@ def run_pipeline(
         )["status"]
         for row in pa.compute.value_counts(col.combine_chunks()):
             status_counts[row["values"].as_py()] = int(row["counts"].as_py())
-    else:
+    elif n_docs:
         status_parts = (
             store.read("clusters", ["status"])
             .map_batches(

@@ -249,27 +249,6 @@ _STATE_SCHEMA = pa.schema(
 )
 
 
-def _part_manifest_valid(part_dir: str, config_hash: str, lineage: str,
-                         input_fp: str) -> dict | None:
-    import json
-    import os
-
-    p = os.path.join(part_dir, "_PART_MANIFEST.json")
-    if not os.path.exists(p):
-        return None
-    try:
-        m = json.load(open(p))
-    except (ValueError, OSError):
-        return None
-    if (
-        m.get("config_hash") == config_hash
-        and m.get("lineage") == lineage
-        and m.get("input_fp") == input_fp
-    ):
-        return m
-    return None
-
-
 def _round_part_impl(files: list, round_dir: str, part: int, n_kparts: int,
                      config_hash: str, lineage: str, input_fp: str,
                      compression: str) -> tuple:
@@ -283,12 +262,13 @@ def _round_part_impl(files: list, round_dir: str, part: int, n_kparts: int,
     Runs as a plain Ray task: per-part resumable iteration is the one
     place the Dataset API can't express the semantics (a round's resume
     granularity must be a durable partition manifest, not a block)."""
-    import json
     import os
     import shutil
     import uuid
 
     import pyarrow.parquet as pq
+
+    from raydedup.state.checkpoint import _write_manifest
 
     tables = [pq.read_table(f) for f in files]
     df = (
@@ -333,8 +313,7 @@ def _round_part_impl(files: list, round_dir: str, part: int, n_kparts: int,
         "x": x,
         "s": s,
     }
-    with open(os.path.join(tmp, "_PART_MANIFEST.json"), "w") as f:
-        json.dump(manifest, f)
+    _write_manifest(os.path.join(tmp, "_PART_MANIFEST.json"), manifest)
     if os.path.exists(part_dir):
         shutil.rmtree(part_dir)
     os.rename(tmp, part_dir)
@@ -363,7 +342,6 @@ def _staged_propagation(directed, cfg: DedupConfig, store, cc_parts: int):
     """
     import glob
     import hashlib
-    import json
     import os
     import shutil
     import time
@@ -371,7 +349,11 @@ def _staged_propagation(directed, cfg: DedupConfig, store, cc_parts: int):
 
     import ray
 
-    from raydedup.state.checkpoint import _files_fingerprint
+    from raydedup.state.checkpoint import (
+        _files_fingerprint,
+        _valid_manifest,
+        _write_manifest,
+    )
 
     P = cc_parts
     root = store.path("rounds")
@@ -383,22 +365,13 @@ def _staged_propagation(directed, cfg: DedupConfig, store, cc_parts: int):
     def round_lineage(k: int) -> str:
         return hashlib.sha256(f"{seed}|round-{k}|{cfgh}".encode()).hexdigest()[:16]
 
-    def round_manifest_valid(round_dir: str, lineage: str) -> dict | None:
-        p = os.path.join(round_dir, "_MANIFEST.json")
-        if not os.path.exists(p):
-            return None
-        try:
-            m = json.load(open(p))
-        except (ValueError, OSError):
-            return None
-        if m.get("config_hash") == cfgh and m.get("lineage") == lineage:
-            return m
-        return None
+    def round_manifest(round_dir: str) -> str:
+        return os.path.join(round_dir, "_MANIFEST.json")
 
     # ---- round 0: initial state (edges + self-labels), hive-written ----
     r0_dir = os.path.join(root, "round-0")
     r0_lineage = round_lineage(0)
-    if round_manifest_valid(r0_dir, r0_lineage) is None:
+    if _valid_manifest(round_manifest(r0_dir), cfgh, r0_lineage) is None:
         def state0_block(df: pd.DataFrame):
             if len(df) == 0:
                 return _STATE_SCHEMA.empty_table().append_column(
@@ -438,8 +411,8 @@ def _staged_propagation(directed, cfg: DedupConfig, store, cc_parts: int):
             os.path.join(tmp, "src-init"), compression=compression,
             partition_cols=["kpart"],
         )
-        with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
-            json.dump({"config_hash": cfgh, "lineage": r0_lineage, "round": 0}, f)
+        _write_manifest(round_manifest(tmp),
+                        {"config_hash": cfgh, "lineage": r0_lineage, "round": 0})
         if os.path.exists(r0_dir):
             shutil.rmtree(r0_dir)
         os.rename(tmp, r0_dir)
@@ -464,7 +437,7 @@ def _staged_propagation(directed, cfg: DedupConfig, store, cc_parts: int):
         round_dir = os.path.join(root, f"round-{k}")
         lineage_k = round_lineage(k)
         t0 = time.time()
-        m = round_manifest_valid(round_dir, lineage_k)
+        m = _valid_manifest(round_manifest(round_dir), cfgh, lineage_k)
         if m is not None:
             cur = (m["x"], m["s"])
             store.events.append(
@@ -485,7 +458,8 @@ def _staged_propagation(directed, cfg: DedupConfig, store, cc_parts: int):
                     continue
                 fp = _files_fingerprint(files)
                 part_dir = os.path.join(round_dir, f"src-{i}")
-                pm = _part_manifest_valid(part_dir, cfgh, lineage_k, fp)
+                pm = _valid_manifest(os.path.join(part_dir, "_PART_MANIFEST.json"),
+                                     cfgh, lineage_k, fp)
                 if pm is not None:
                     done.append((pm["rows"], pm["x"], pm["s"]))
                 else:
@@ -501,11 +475,11 @@ def _staged_propagation(directed, cfg: DedupConfig, store, cc_parts: int):
                 x_all ^= np.uint64(np.int64(x).astype(np.uint64))
                 s_all += np.uint64(np.int64(s).astype(np.uint64))
             cur = (int(np.int64(x_all.astype(np.int64))), int(np.int64(s_all.astype(np.int64))))
-            with open(os.path.join(round_dir, "_MANIFEST.json"), "w") as f:
-                json.dump(
-                    {"config_hash": cfgh, "lineage": lineage_k, "round": k,
-                     "rows": rows, "x": cur[0], "s": cur[1]}, f,
-                )
+            _write_manifest(
+                round_manifest(round_dir),
+                {"config_hash": cfgh, "lineage": lineage_k, "round": k,
+                 "rows": rows, "x": cur[0], "s": cur[1]},
+            )
             store.events.append(
                 {"stage": f"cc_round_{k}", "action": "computed", "rows": rows,
                  "sec": round(time.time() - t0, 2),

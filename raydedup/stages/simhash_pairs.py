@@ -113,11 +113,7 @@ def simhash_pairs(sigs_ds, cfg: DedupConfig):
 
     Edges may repeat across the ``hamming_threshold + 1`` pigeonhole
     blocks (deduped once in the combined pairs stage)."""
-    blocks = sigs_ds.select_columns(["conv_id", "simhash", "n_shingles"]).map_batches(
-        make_block_rows(cfg), batch_format="pyarrow", zero_copy_batch=True
-    )
-    grouped = keyed_blocks(blocks, ["block_idx", "block_val"], cfg.num_partitions)
-    return simhash_edges_from_blocks(grouped, cfg, regroup=False)
+    return simhash_edges_from_blocks(simhash_block_rows(sigs_ds, cfg), cfg)
 
 
 def simhash_block_rows(sigs_ds, cfg: DedupConfig, n_parts: int = 1):
@@ -147,14 +143,11 @@ def simhash_block_rows(sigs_ds, cfg: DedupConfig, n_parts: int = 1):
     return blocks
 
 
-def simhash_edges_from_blocks(blocks_ds, cfg: DedupConfig, regroup: bool = True):
-    """Pigeonhole block rows → Hamming-verified decorated edges.
-
-    ``regroup=True`` re-applies the key grouping (checkpoint re-read path);
-    ``regroup=False`` is the fused in-memory path."""
-    if regroup:
-        blocks_ds = keyed_blocks(blocks_ds, ["block_idx", "block_val"], cfg.num_partitions)
-    raw = blocks_ds.map_batches(
+def simhash_edges_from_blocks(blocks_ds, cfg: DedupConfig):
+    """Pigeonhole block rows → Hamming-verified decorated edges: one
+    ``(block_idx, block_val)`` hash shuffle, then whole-bucket emission."""
+    grouped = keyed_blocks(blocks_ds, ["block_idx", "block_val"], cfg.num_partitions)
+    raw = grouped.map_batches(
         make_block_emitter(cfg),
         batch_size=None,
         batch_format="pyarrow",

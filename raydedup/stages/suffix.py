@@ -92,9 +92,7 @@ def suffix_pairs(docs_ds, cfg: DedupConfig, n_docs: int | None = None):
     combined pairs stage — one shuffle for all edge sources instead of one
     per source); emission already dedups within each fingerprint bucket.
     """
-    fps = suffix_fp_rows(docs_ds, cfg, n_docs=n_docs)
-    grouped = keyed_blocks(fps, ["fp"], cfg.num_partitions)
-    return suffix_edges_from_fps(grouped, cfg, regroup=False)
+    return suffix_edges_from_fps(suffix_fp_rows(docs_ds, cfg, n_docs=n_docs), cfg)
 
 
 def suffix_fp_rows(docs_ds, cfg: DedupConfig, n_docs: int | None = None,
@@ -104,8 +102,8 @@ def suffix_fp_rows(docs_ds, cfg: DedupConfig, n_docs: int | None = None,
     (``write_parquet(partition_cols=["kpart"])``).  Because ``kpart`` is a
     pure function of the shuffle key, every fingerprint bucket lives wholly
     inside one ``kpart=i/`` directory — so per-directory pair emission
-    (``suffix_edges_from_fps`` with ``regroup=True``) over any one part is
-    exact, and the union over parts equals the single-shuffle output.
+    (``suffix_edges_from_fps``) over any one part is exact, and the union
+    over parts equals the single-shuffle output.
     This is the winnow-kernel half of ``suffix_pairs``, split out so the
     expensive fingerprint compute is checkpointed once and the fp shuffle
     itself becomes per-partition resumable (north rule: "resumes mid-shuffle
@@ -134,17 +132,12 @@ def suffix_fp_rows(docs_ds, cfg: DedupConfig, n_docs: int | None = None,
     return fps
 
 
-def suffix_edges_from_fps(fps_ds, cfg: DedupConfig, regroup: bool = True):
-    """(fp, conv_id) rows → decorated exact edges.
-
-    ``regroup=True`` re-applies the fp hash grouping first — required when
-    the rows come back from a parquet checkpoint (Ray may split one written
-    partition across read tasks, so block boundaries no longer align with
-    key groups).  ``regroup=False`` is the fused in-memory path where the
-    caller already shuffled."""
-    if regroup:
-        fps_ds = keyed_blocks(fps_ds, ["fp"], cfg.num_partitions)
-    raw = fps_ds.map_batches(
+def suffix_edges_from_fps(fps_ds, cfg: DedupConfig):
+    """(fp, conv_id) rows → decorated exact edges: one fp hash shuffle,
+    then whole-bucket emission.  Rows read back from a parquet checkpoint
+    need the shuffle too: Ray may split one written partition across read
+    tasks, so block boundaries no longer align with key groups."""
+    raw = keyed_blocks(fps_ds, ["fp"], cfg.num_partitions).map_batches(
         make_fp_emitter(cfg),
         batch_size=None,
         batch_format="pyarrow",

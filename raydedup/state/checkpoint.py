@@ -40,6 +40,7 @@ class CheckpointStore:
         # the engine's worst-scaling resource on shared disk
         self.compression = compression
         self._mem: dict = {}
+        self._rows: dict = {}  # stage -> manifest row count (disk mode)
         os.makedirs(out_dir, exist_ok=True)
 
     def _manifest_path(self, name):
@@ -60,20 +61,23 @@ class CheckpointStore:
         if self.mode == "memory":
             ds = self._mem[name]
             return ds.select_columns(columns) if columns else ds
+        if self._rows.get(name) == 0 and not _parquet_files(self.path(name)):
+            # a 0-row shuffle output has no schema, so its checkpoint holds
+            # no parquet file: it reads back as a zero-block Dataset
+            return rd.from_items([])
         return read_parquet_clean(self.path(name), columns=columns)
 
-    def _valid(self, name, lineage: str | None = None) -> dict | None:
-        p = self._manifest_path(name)
-        if not os.path.exists(p):
-            return None
-        try:
-            m = json.load(open(p))
-        except (json.JSONDecodeError, OSError):
-            return None
-        want = self.lineage if lineage is None else lineage
-        if m.get("config_hash") == self.config_hash and m.get("lineage") == want:
-            return m
-        return None
+    def _valid(self, name: str, lineage: str) -> dict | None:
+        """The stage manifest if it is valid at ``lineage`` (row count
+        remembered for ``read``), else None."""
+        m = _valid_manifest(self._manifest_path(name), self.config_hash, lineage)
+        if m is not None:
+            self._rows[name] = m["rows"]
+        return m
+
+    def _manifest(self, name: str, lineage: str, rows: int, **fields) -> dict:
+        return {"stage": name, **fields, "config_hash": self.config_hash,
+                "lineage": lineage, "rows": rows, "created_at": time.time()}
 
     def _advance(self, name: str) -> None:
         """Extend the lineage hash chain past stage ``name``.  Every entry
@@ -95,16 +99,9 @@ class CheckpointStore:
         ds.write_parquet(tmp, compression=self.compression,
                          partition_cols=partition_cols)
         _ensure_nonempty_parquet(tmp, ds)
-        rows = _parquet_rows(tmp)
-        manifest = {
-            "stage": name,
-            "config_hash": self.config_hash,
-            "lineage": lineage,
-            "rows": rows,
-            "created_at": time.time(),
-        }
-        with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
-            json.dump(manifest, f)
+        rows = self._rows[name] = _parquet_rows(tmp)
+        _write_manifest(os.path.join(tmp, "_MANIFEST.json"),
+                        self._manifest(name, lineage, rows))
         if os.path.exists(target):
             shutil.rmtree(target)
         os.rename(tmp, target)
@@ -123,9 +120,6 @@ class CheckpointStore:
         Advances the lineage chain either way, so downstream validity
         depends on every upstream stage's identity.
         """
-        import ray.data as rd
-
-        target = os.path.join(self.out_dir, name)
         t0 = time.time()
         if self.mode == "memory":
             ds = compute_fn().materialize()
@@ -137,15 +131,13 @@ class CheckpointStore:
             )
             self._advance(name)
             return ds
-        m = self._valid(name)
+        m = self._valid(name, self.lineage)
         if m is not None:
             self.events.append(
                 {"stage": name, "action": "resumed", "rows": m["rows"], "sec": 0.0}
             )
-            ds = read_parquet_clean(target)
         else:
-            ds = compute_fn()
-            rows = self._persist(name, ds, self.lineage,
+            rows = self._persist(name, compute_fn(), self.lineage,
                                  partition_cols=partition_cols)
             self.events.append(
                 {
@@ -155,9 +147,8 @@ class CheckpointStore:
                     "sec": round(time.time() - t0, 2),
                 }
             )
-            ds = read_parquet_clean(target)
         self._advance(name)
-        return ds
+        return self.read(name)
 
 
     def lazy_stage(self, name: str, compute_fn):
@@ -208,8 +199,6 @@ class CheckpointStore:
         """
         from concurrent.futures import ThreadPoolExecutor
 
-        import ray.data as rd
-
         if self.mode == "memory" or len(specs) <= 1:
             return {name: self.stage(name, fn) for name, fn in specs}
         _harden_ray_http_fs_check()
@@ -224,7 +213,7 @@ class CheckpointStore:
                 self.events.append(
                     {"stage": name, "action": "resumed", "rows": m["rows"], "sec": 0.0}
                 )
-                out[name] = read_parquet_clean(self.path(name))
+                out[name] = self.read(name)
             else:
                 jobs.append((name, fn()))  # lazy graph built on this thread
 
@@ -241,7 +230,7 @@ class CheckpointStore:
                         {"stage": name, "action": "computed", "rows": rows,
                          "sec": round(sec, 2)}
                     )
-                    out[name] = read_parquet_clean(self.path(name))
+                    out[name] = self.read(name)
         return {name: out[name] for name, _fn in specs}
 
     def partitioned_map_stage(self, name: str, input_name: str, make_ds_fn,
@@ -276,21 +265,18 @@ class CheckpointStore:
         """
         import glob
 
-        import ray.data as rd
-
         if self.mode == "memory":
             raise ValueError(
                 "partitioned_map_stage requires disk checkpoints; callers gate "
                 "on checkpoint_mode"
             )
         target = self.path(name)
-        m = self._valid(name)
         t0 = time.time()
-        if m is not None:
+        if self._valid(name, self.lineage) is not None:
             self.events.append(
-                {"stage": name, "action": "resumed", "rows": m["rows"], "sec": 0.0}
+                {"stage": name, "action": "resumed",
+                 "rows": self._rows[name], "sec": 0.0}
             )
-            ds = read_parquet_clean(target)
         else:
             files = sorted(
                 glob.glob(os.path.join(self.path(input_name), "**", "*.parquet"),
@@ -322,51 +308,26 @@ class CheckpointStore:
                 part_dir = os.path.join(target, f"part-{i}")
                 pm_path = os.path.join(part_dir, "_PART_MANIFEST.json")
                 fp = _files_fingerprint(groups[i])
-                if os.path.exists(pm_path):
-                    try:
-                        pm = json.load(open(pm_path))
-                    except (json.JSONDecodeError, OSError):
-                        pm = None
-                    if (
-                        pm
-                        and pm.get("config_hash") == self.config_hash
-                        and pm.get("lineage") == self.lineage
-                        and pm.get("input_fp") == fp
-                    ):
-                        return 0  # completed before the crash — skip
+                if _valid_manifest(pm_path, self.config_hash, self.lineage, fp):
+                    return 0  # completed before the crash — skip
                 if os.path.exists(part_dir):
                     shutil.rmtree(part_dir)
                 ds_i = make_ds_fn(groups[i])
                 tmp = f"{part_dir}.tmp-{uuid.uuid4().hex[:8]}"
                 ds_i.write_parquet(tmp, compression=self.compression)
                 _ensure_nonempty_parquet(tmp, ds_i)
-                pm = {
-                    "stage": name,
-                    "part": i,
-                    "n_parts": n_parts,
-                    "config_hash": self.config_hash,
-                    "lineage": self.lineage,
-                    "input_fp": fp,
-                    "rows": _parquet_rows(tmp),
-                    "created_at": time.time(),
-                }
-                with open(os.path.join(tmp, "_PART_MANIFEST.json"), "w") as f:
-                    json.dump(pm, f)
+                _write_manifest(
+                    os.path.join(tmp, "_PART_MANIFEST.json"),
+                    self._manifest(name, self.lineage, _parquet_rows(tmp),
+                                   part=i, n_parts=n_parts, input_fp=fp),
+                )
                 os.rename(tmp, part_dir)
                 return 1
 
             computed = sum(run_part(i) for i in range(n_parts))
-            rows = _parquet_rows(target)
-            manifest = {
-                "stage": name,
-                "config_hash": self.config_hash,
-                "lineage": self.lineage,
-                "rows": rows,
-                "n_parts": n_parts,
-                "created_at": time.time(),
-            }
-            with open(self._manifest_path(name), "w") as f:
-                json.dump(manifest, f)
+            rows = self._rows[name] = _parquet_rows(target)
+            _write_manifest(self._manifest_path(name),
+                            self._manifest(name, self.lineage, rows, n_parts=n_parts))
             self.events.append(
                 {
                     "stage": name,
@@ -377,9 +338,8 @@ class CheckpointStore:
                     "parts_resumed": n_parts - computed,
                 }
             )
-            ds = read_parquet_clean(target)
         self._advance(name)
-        return ds
+        return self.read(name)
 
 
 def _harden_ray_http_fs_check() -> None:
@@ -412,18 +372,46 @@ def _harden_ray_http_fs_check() -> None:
     path_util._is_http_filesystem = _safe_is_http_filesystem
 
 
+def _valid_manifest(path: str, config_hash: str, lineage: str,
+                    input_fp: str | None = None) -> dict | None:
+    """The checkpoint manifest rule: the JSON manifest at ``path`` if it
+    parses and records this config hash and lineage (and, for a part, this
+    input-file fingerprint), else None."""
+    try:
+        with open(path) as f:
+            m = json.load(f)
+    except (OSError, ValueError):
+        return None
+    want = {"config_hash": config_hash, "lineage": lineage}
+    if input_fp is not None:
+        want["input_fp"] = input_fp
+    return m if all(m.get(k) == v for k, v in want.items()) else None
+
+
+def _write_manifest(path: str, manifest: dict) -> None:
+    """Write a manifest atomically (tmp file → rename); the ``_`` prefix
+    keeps a crash's leftover tmp file out of every parquet read."""
+    tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
+    with open(tmp, "w") as f:
+        json.dump(manifest, f)
+    os.replace(tmp, path)
+
+
 def _ensure_nonempty_parquet(path: str, ds) -> None:
     """A 0-row ``write_parquet`` produces no directory and no files, which
     would make the checkpoint unreadable on resume — materialize the
-    schema as one empty parquet file instead."""
+    schema as one empty parquet file instead.  A 0-row hash-shuffle output
+    has no schema; its checkpoint stays an empty directory, which
+    ``CheckpointStore.read`` serves as a zero-block Dataset."""
     import pyarrow.parquet as pq
 
     os.makedirs(path, exist_ok=True)
-    for _root, _dirs, files in os.walk(path):
-        if any(f.endswith(".parquet") for f in files):
-            return
-    schema = ds.schema().base_schema
-    pq.write_table(schema.empty_table(), os.path.join(path, "empty-0.parquet"))
+    if _parquet_files(path):
+        return
+    schema = ds.schema()
+    if schema is not None:
+        pq.write_table(schema.base_schema.empty_table(),
+                       os.path.join(path, "empty-0.parquet"))
 
 
 def _files_fingerprint(files: list) -> str:
@@ -435,16 +423,16 @@ def _files_fingerprint(files: list) -> str:
     return hashlib.sha256("|".join(entries).encode()).hexdigest()[:16]
 
 
+def _parquet_files(path: str) -> list:
+    return [os.path.join(root, f) for root, _dirs, files in os.walk(path)
+            for f in files if f.endswith(".parquet")]
+
+
 def _parquet_rows(path: str) -> int:
     """Row count from parquet footers (no Ray execution)."""
     import pyarrow.parquet as pq
 
-    total = 0
-    for root, _dirs, files in os.walk(path):
-        for f in files:
-            if f.endswith(".parquet"):
-                total += pq.ParquetFile(os.path.join(root, f)).metadata.num_rows
-    return total
+    return sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path))
 
 
 def input_fingerprint(path: str) -> str:

@@ -235,8 +235,11 @@ def test_pair_stage_partitioned_resume(ray_session, fixture_dir, tmp_path):
     """pair_checkpoint_parts > 1: the minhash-verify stage persists
     per-part lineage over the candidates checkpoint's files; losing K of
     N parts in a crash recomputes exactly K on resume, and the cluster
-    output matches a single-execution run (candidate rows are independent,
-    so any file partitioning yields the same verified edge set)."""
+    output, the pairs table and each edge stage's rows match a
+    single-execution run (candidate rows are independent, so any file
+    partitioning yields the same verified edge set).  Clusters ignore
+    SimHash edges and the pairs table keeps one source per pair, so only
+    the edge stages show a dropped or duplicated SimHash edge."""
     import shutil
 
     import pandas as pd
@@ -252,20 +255,45 @@ def test_pair_stage_partitioned_resume(ray_session, fixture_dir, tmp_path):
             .reset_index(drop=True)
         )
 
+    def pairs_of(res):
+        df = res["pairs"].to_pandas()
+        return (
+            df[["a", "b", "source", "est_sim"]]
+            .sort_values(["a", "b"])
+            .reset_index(drop=True)
+        )
+
+    edge_stages = ("pairs_minhash", "pairs_suffix", "pairs_simhash")
+
+    def edges_of(out_dir, stage):
+        # sources emit a pair once per shared bucket, so compare multisets
+        df = pq.read_table(os.path.join(out_dir, stage)).to_pandas()
+        cols = ["a", "b", "source", "est_sim"]
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
     base = DedupConfig(num_partitions=4, sig_concurrency=(1, 2))
     ref = run_pipeline(
         f"{fixture_dir}/transcripts.parquet", str(tmp_path / "single"), base
     )
     want = clusters_of(ref)
+    want_pairs = pairs_of(ref)
+    want_edges = {st: edges_of(str(tmp_path / "single"), st) for st in edge_stages}
 
     cfg = DedupConfig(
         num_partitions=4, sig_concurrency=(1, 2), pair_checkpoint_parts=2
     )
     out = str(tmp_path / "parts")
+
+    def assert_same_edges(res):
+        pd.testing.assert_frame_equal(pairs_of(res), want_pairs)
+        for st in edge_stages:
+            pd.testing.assert_frame_equal(edges_of(out, st), want_edges[st])
+
     res = run_pipeline(f"{fixture_dir}/transcripts.parquet", out, cfg)
     ev = [e for e in res["events"] if e["stage"] == "pairs_minhash"][-1]
     assert ev["parts_computed"] == 2 and ev["parts_resumed"] == 0, ev
     pd.testing.assert_frame_equal(clusters_of(res), want)
+    assert_same_edges(res)
 
     # simulated crash mid-stage: one part dir survives, the other (and the
     # stage manifest) are lost
@@ -277,6 +305,7 @@ def test_pair_stage_partitioned_resume(ray_session, fixture_dir, tmp_path):
     ev2 = [e for e in res2["events"] if e["stage"] == "pairs_minhash"][-1]
     assert ev2["parts_computed"] == 1 and ev2["parts_resumed"] == 1, ev2
     pd.testing.assert_frame_equal(clusters_of(res2), want)
+    assert_same_edges(res2)
 
     # the suffix/simhash pair stages are partitioned too (key-closed
     # kpart-hive upstream checkpoints + group_by_dir): losing one part of
@@ -299,3 +328,4 @@ def test_pair_stage_partitioned_resume(ray_session, fixture_dir, tmp_path):
         up = [e for e in res3["events"] if e["stage"] == upstream][-1]
         assert up["action"] == "resumed", (upstream, up)
     pd.testing.assert_frame_equal(clusters_of(res3), want)
+    assert_same_edges(res3)

@@ -333,3 +333,24 @@ def test_csv_report_sinks(ray_session, fixture_dir, tmp_path):
         pd.testing.assert_frame_equal(
             g[sorted(got.columns)], w[sorted(want.columns)], check_dtype=False
         )
+
+
+def test_empty_corpus_both_modes(ray_session, fixture_dir, tmp_path):
+    """A 0-row transcripts file yields 0 pairs and 0 clusters in both
+    checkpoint modes (a 0-row shuffle output has no schema, so its disk
+    checkpoint holds no parquet file), and a second disk run resumes every
+    persisted stage."""
+    from raydedup.pipelines.dedup import run_pipeline
+
+    src = str(tmp_path / "empty.parquet")
+    pq.write_table(pq.read_table(f"{fixture_dir}/transcripts.parquet").slice(0, 0), src)
+    kw = dict(num_partitions=4, sig_concurrency=(1, 2))
+    for mode in ("memory", "disk"):
+        res = run_pipeline(src, str(tmp_path / mode), DedupConfig(checkpoint_mode=mode, **kw))
+        assert res["pairs"].count() == 0 and res["clusters"].count() == 0, mode
+    first = [e["stage"] for e in res["events"] if e["action"] == "computed"]
+    again = run_pipeline(src, str(tmp_path / "disk"), DedupConfig(**kw))
+    assert again["pairs"].count() == 0 and again["clusters"].count() == 0
+    persisted = [e for e in again["events"] if e["action"] != "fused"]
+    assert [e["stage"] for e in persisted] == first
+    assert all(e["action"] == "resumed" for e in persisted), again["events"]
